@@ -2,18 +2,16 @@
 //! links and memory controllers assembled per architecture (paper
 //! Figs. 1, 4, 5, 15), stepped cycle by cycle.
 
-use std::collections::HashMap;
-
 use nuba_cache::CacheGeometry;
 use nuba_dram::{DramRequest, HbmTiming, MemoryController};
-use nuba_driver::{GpuDriver, MigrationConfig, PageAccessTracker};
+use nuba_driver::{GpuDriver, MigrationConfig, PageAccessTracker, Translation};
 use nuba_engine::{BandwidthLink, Fault, FaultPlan, FaultSchedule, LinkSite};
 use nuba_noc::{CrossbarNoc, NocPowerModel};
 use nuba_tlb::{TlbParams, TranslationEngine, TranslationOutcome};
 use nuba_types::addr::PageNum;
 use nuba_types::mapping::AddressMapping;
 use nuba_types::{
-    AccessKind, ArchKind, GpuConfig, LineAddr, MemReply, MemRequest, PagePolicyKind,
+    AccessKind, ArchKind, FixedHashMap, GpuConfig, LineAddr, MemReply, MemRequest, PagePolicyKind,
     ReplicationKind, ReqId, SliceId, SmId, Wire,
 };
 use nuba_workloads::Workload;
@@ -60,8 +58,24 @@ impl Wire for HalfPkt {
 
 struct McState {
     mc: MemoryController,
-    pending_fills: HashMap<u64, (SliceId, LineAddr)>,
+    pending_fills: FixedHashMap<u64, (SliceId, LineAddr)>,
     next_id: u64,
+}
+
+/// Times `issue_sms` polls each SM per cycle. Each poll offers at most
+/// one memory op, which commits, hits in the L1 or stalls; compute
+/// blocks retire inside the polls without using one up.
+const POLLS_PER_CYCLE: usize = 4;
+
+/// The page-table translation one warp's last access used, cached so a
+/// retried access (or the next access to the same page) skips the
+/// page-table probes. Valid only while the page table's generation is
+/// unchanged.
+#[derive(Debug, Clone, Copy)]
+struct TranslationMemo {
+    vpage: PageNum,
+    generation: u64,
+    translation: Translation,
 }
 
 /// Whether new simulators use event-driven time skipping. On by
@@ -134,6 +148,9 @@ pub struct GpuSimulator {
     gw_req_out: Vec<GwPkt<MemRequest>>,
     gw_reply_out: Vec<GwPkt<MemReply>>,
     half_out: Vec<HalfPkt>,
+    // One cached translation per (SM, warp), indexed `sm * warps + warp`
+    // (scratch, not saved state: cleared on restore).
+    translation_memo: Vec<Option<TranslationMemo>>,
 }
 
 impl GpuSimulator {
@@ -189,7 +206,6 @@ impl GpuSimulator {
             max_outstanding: cfg.sm_max_outstanding,
             l1_geometry: CacheGeometry::from_capacity(cfg.l1_bytes, cfg.l1_ways),
             l1_mshrs: cfg.l1_mshrs,
-            issue_width: 2,
         };
         let sms: Vec<Sm> = (0..cfg.num_sms)
             .map(|i| {
@@ -237,7 +253,7 @@ impl GpuSimulator {
                     cfg.mc_queue_entries,
                     mem_burst_cycles.max(1),
                 ),
-                pending_fills: HashMap::new(),
+                pending_fills: FixedHashMap::default(),
                 next_id: 0,
             })
             .collect();
@@ -372,6 +388,7 @@ impl GpuSimulator {
             gw_req_out: Vec::new(),
             gw_reply_out: Vec::new(),
             half_out: Vec::new(),
+            translation_memo: vec![None; cfg.num_sms * active_warps],
             cfg,
         })
     }
@@ -1175,18 +1192,24 @@ impl GpuSimulator {
     fn issue_sms(&mut self, c: u64) {
         let page_bytes = self.cfg.page_bytes;
         let n_parts = self.cfg.num_partitions();
+        let warps = self.translation_memo.len() / self.sms.len();
         for i in 0..self.sms.len() {
             let sm_id = SmId(i);
             let part = self.topo.partition_of_sm(sm_id);
             self.sms[i].begin_cycle();
-            for _ in 0..4 {
-                // Up to issue_width memory commits per cycle; extra poll
-                // iterations let L1 hits and stalls make way.
+            for _ in 0..POLLS_PER_CYCLE {
                 let Some((warp, access)) = self.sms[i].poll(c) else {
                     break;
                 };
                 let vpage = access.vaddr.page(page_bytes);
-                let mapped = self.driver.table().is_mapped(vpage);
+                // Most polls retry an access that stalled last cycle, so
+                // the warp's cached translation usually still applies.
+                // Pages are never unmapped, so a memo hit is mapped.
+                let slot = i * warps + warp.0;
+                let generation = self.driver.table().generation();
+                let memo = self.translation_memo[slot]
+                    .filter(|m| m.vpage == vpage && m.generation == generation);
+                let mapped = memo.is_some() || self.driver.table().is_mapped(vpage);
                 match self.mmu.request(sm_id, vpage, c, mapped) {
                     TranslationOutcome::Pending => {
                         self.sms[i].block_translation(warp, vpage.0);
@@ -1194,10 +1217,26 @@ impl GpuSimulator {
                     }
                     TranslationOutcome::HitL1 => {}
                 }
-                let t = self
-                    .driver
-                    .translate(vpage, part)
-                    .expect("TLB hit implies a mapped page");
+                let t = match memo {
+                    Some(m) => m.translation,
+                    None => {
+                        let translation = self
+                            .driver
+                            .translate(vpage, part)
+                            .expect("TLB hit implies a mapped page");
+                        self.translation_memo[slot] = Some(TranslationMemo {
+                            vpage,
+                            generation,
+                            translation,
+                        });
+                        translation
+                    }
+                };
+                // The address is recomposed on every attempt, memo hit
+                // or not: `compose` and `decode` evaluate counted
+                // invariants, and a resumed run (which starts with an
+                // empty memo) must count exactly what the uninterrupted
+                // run counts.
                 let paddr =
                     self.mapping
                         .compose(t.channel, t.frame, access.vaddr.page_offset(page_bytes));
@@ -1254,6 +1293,33 @@ impl GpuSimulator {
                 }
             }
         }
+    }
+
+    /// Check every cached translation that is still current against
+    /// the page table, panicking on a stale one; returns how many were
+    /// checked. A test hook for the issue path's translation memo: it
+    /// sits outside `step`, so calling it changes no counted check.
+    #[doc(hidden)]
+    pub fn check_translation_memo(&self) -> usize {
+        let warps = self.translation_memo.len() / self.sms.len();
+        let generation = self.driver.table().generation();
+        let mut live = 0;
+        for (slot, memo) in self.translation_memo.iter().enumerate() {
+            let Some(m) = memo.filter(|m| m.generation == generation) else {
+                continue;
+            };
+            let part = self.topo.partition_of_sm(SmId(slot / warps));
+            assert_eq!(
+                self.driver.translate(m.vpage, part),
+                Some(m.translation),
+                "stale translation memo for SM {} warp {} page {}",
+                slot / warps,
+                slot % warps,
+                m.vpage
+            );
+            live += 1;
+        }
+        live
     }
 
     fn note_access(&mut self, vpage: PageNum, sm: SmId, n_parts: usize) {
@@ -2140,7 +2206,9 @@ impl GpuSimulator {
         self.migration_bytes = u64::get(r)?;
         self.telemetry.restore(r)?;
         // Scratch buffers are drained within every step; leave them as
-        // try_new built them (empty, capacity pre-sized).
+        // try_new built them (empty, capacity pre-sized). The cached
+        // translations belong to the replaced page table.
+        self.translation_memo.fill(None);
         Ok(())
     }
 }

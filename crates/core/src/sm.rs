@@ -1,21 +1,22 @@
 //! The Streaming Multiprocessor model.
 //!
-//! A throughput-oriented SM: up to `issue_width` warp operations issue
-//! per cycle under greedy-then-oldest (GTO-flavoured) warp selection;
-//! loads complete out of order; warps stall only on translation, MSHR /
-//! outstanding-request limits, or their per-warp MLP cap. Latency that
-//! can be hidden by warp switching is hidden — performance is governed
-//! by memory bandwidth and queueing, which is exactly the GPU property
+//! A throughput-oriented SM: each cycle the owning simulator polls it a
+//! few times, and each poll offers one warp's memory operation under
+//! greedy-then-oldest (GTO-flavoured) warp selection, which then
+//! commits, hits in the L1 or stalls; compute blocks retire as their
+//! warps are polled and need no poll of their own. Loads complete out
+//! of order; warps stall only on translation, MSHR / outstanding-request
+//! limits, or their per-warp MLP cap. Latency that can be hidden by
+//! warp switching is hidden — performance is governed by memory
+//! bandwidth and queueing, which is exactly the GPU property
 //! the paper builds NUBA on ("memory bandwidth in GPU systems is
 //! (practically) independent of latency").
 //!
 //! The L1 (48 KB, write-through, write-no-allocate, 128 MSHRs) lives
 //! here; everything below it belongs to the owning simulator.
 
-use std::collections::HashMap;
-
 use nuba_cache::{CacheGeometry, MshrFile, TagArray};
-use nuba_types::{AccessKind, LineAddr, MemReply, SmId, WarpId};
+use nuba_types::{AccessKind, FixedHashMap, LineAddr, MemReply, SmId, WarpId};
 use nuba_workloads::{Access, WarpOp, WarpStream};
 
 /// SM sizing parameters.
@@ -31,12 +32,10 @@ pub struct SmParams {
     pub l1_geometry: CacheGeometry,
     /// L1 MSHR entries.
     pub l1_mshrs: usize,
-    /// Warp operations issued per cycle (2 schedulers in Table 1).
-    pub issue_width: usize,
 }
 
 impl SmParams {
-    /// Paper Table 1 parameters (48 KB 6-way L1, 64 warps, 2 schedulers).
+    /// Paper Table 1 parameters (48 KB 6-way L1, 64 warps).
     pub fn paper() -> SmParams {
         SmParams {
             warps: 64,
@@ -44,7 +43,6 @@ impl SmParams {
             max_outstanding: 64,
             l1_geometry: CacheGeometry::from_capacity(48 * 1024, 6),
             l1_mshrs: 128,
-            issue_width: 2,
         }
     }
 }
@@ -66,6 +64,68 @@ struct WarpCtx {
     outstanding: u32,
     /// A fetched-but-unissued memory op (kept across stall cycles).
     pending: Option<Access>,
+}
+
+/// One bit per warp context: set while the warp is `Ready` or `Compute`
+/// (a poll may issue it or wake it), clear while it waits on memory or
+/// translation (a poll would pass over it).
+#[derive(Debug, Clone)]
+struct WarpMask {
+    words: Vec<u64>,
+}
+
+impl WarpMask {
+    /// A mask of `n` warps, all set (every warp starts `Ready`).
+    fn all(n: usize) -> WarpMask {
+        let mut words = vec![!0u64; n.div_ceil(64)];
+        if !n.is_multiple_of(64) {
+            *words.last_mut().expect("n > 0") = (1u64 << (n % 64)) - 1;
+        }
+        WarpMask { words }
+    }
+
+    fn assign(&mut self, i: usize, on: bool) {
+        let bit = 1u64 << (i % 64);
+        if on {
+            self.words[i / 64] |= bit;
+        } else {
+            self.words[i / 64] &= !bit;
+        }
+    }
+
+    /// The lowest set index in `from..to`.
+    fn first_in(&self, from: usize, to: usize) -> Option<usize> {
+        if from >= to {
+            return None;
+        }
+        let mut wi = from / 64;
+        let mut word = self.words[wi] & (!0u64 << (from % 64));
+        loop {
+            if word != 0 {
+                let i = wi * 64 + word.trailing_zeros() as usize;
+                return (i < to).then_some(i);
+            }
+            wi += 1;
+            if wi * 64 >= to {
+                return None;
+            }
+            word = self.words[wi];
+        }
+    }
+
+    /// Set indices in ascending order.
+    fn ones(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(wi, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let b = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    wi * 64 + b
+                })
+            })
+        })
+    }
 }
 
 /// Why a candidate memory op could not issue this cycle.
@@ -113,12 +173,14 @@ pub struct Sm {
     id: SmId,
     params: SmParams,
     warps: Vec<WarpCtx>,
+    /// Warps a poll can act on (derived from `warps`' states).
+    pollable: WarpMask,
     l1: TagArray,
     l1_mshr: MshrFile<WarpId>,
     outstanding: usize,
     next_warp: usize,
     scanned: usize,
-    translation_waiters: HashMap<u64, Vec<WarpId>>,
+    translation_waiters: FixedHashMap<u64, Vec<WarpId>>,
     /// Recycled waiter vectors for `translation_waiters` entries, so the
     /// translate-miss path stops allocating once warmed up.
     waiter_pool: Vec<Vec<WarpId>>,
@@ -133,6 +195,7 @@ impl Sm {
     /// Panics if `streams` is empty or larger than `params.warps`.
     pub fn new(id: SmId, params: SmParams, streams: Vec<WarpStream>) -> Sm {
         assert!(!streams.is_empty() && streams.len() <= params.warps);
+        let pollable = WarpMask::all(streams.len());
         Sm {
             id,
             params,
@@ -145,12 +208,13 @@ impl Sm {
                     pending: None,
                 })
                 .collect(),
+            pollable,
             l1: TagArray::new(params.l1_geometry),
             l1_mshr: MshrFile::new(params.l1_mshrs, 16),
             outstanding: 0,
             next_warp: 0,
             scanned: 0,
-            translation_waiters: HashMap::new(),
+            translation_waiters: FixedHashMap::default(),
             waiter_pool: Vec::new(),
             stats: SmStats::default(),
         }
@@ -178,11 +242,24 @@ impl Sm {
     /// only memory ops are returned, for the simulator to translate,
     /// route and then commit or stall. Returns `None` when no warp can
     /// issue this cycle.
+    ///
+    /// The scan visits warps round-robin from `next_warp`, but jumps
+    /// straight over warps parked on memory or translation: `scanned`
+    /// advances past them exactly as a one-by-one scan would.
     pub fn poll(&mut self, now: u64) -> Option<(WarpId, Access)> {
         let n = self.warps.len();
         while self.scanned < n {
-            let idx = (self.next_warp + self.scanned) % n;
-            self.scanned += 1;
+            let start = (self.next_warp + self.scanned) % n;
+            let end = start + (n - self.scanned);
+            let found = self
+                .pollable
+                .first_in(start, end.min(n))
+                .or_else(|| self.pollable.first_in(0, end.saturating_sub(n)));
+            let Some(idx) = found else {
+                self.scanned = n;
+                return None;
+            };
+            self.scanned += (idx + n - start) % n + 1;
             let w = &mut self.warps[idx];
             // Lazy wake-ups.
             if let WarpState::Compute(until) = w.state {
@@ -316,6 +393,7 @@ impl Sm {
         w.outstanding += 1;
         if w.outstanding >= self.params.warp_mlp {
             w.state = WarpState::WaitMem;
+            self.pollable.assign(warp.0, false);
         }
         if primary {
             self.outstanding += 1;
@@ -333,6 +411,7 @@ impl Sm {
             w.outstanding += 1;
             if w.outstanding >= self.params.warp_mlp {
                 w.state = WarpState::WaitMem;
+                self.pollable.assign(warp.0, false);
             }
         }
         self.outstanding += 1;
@@ -343,6 +422,7 @@ impl Sm {
     /// Block `warp` until the MMU resolves `vpage`.
     pub fn block_translation(&mut self, warp: WarpId, vpage: u64) {
         self.warps[warp.0].state = WarpState::WaitTranslation;
+        self.pollable.assign(warp.0, false);
         self.translation_waiters
             .entry(vpage)
             .or_insert_with(|| self.waiter_pool.pop().unwrap_or_default())
@@ -357,6 +437,7 @@ impl Sm {
                 let w = &mut self.warps[warp.0];
                 if w.state == WarpState::WaitTranslation {
                     w.state = WarpState::Ready;
+                    self.pollable.assign(warp.0, true);
                 }
             }
             self.waiter_pool.push(waiters);
@@ -414,6 +495,7 @@ impl Sm {
         w.outstanding = w.outstanding.saturating_sub(1);
         if w.state == WarpState::WaitMem && w.outstanding < mlp {
             w.state = WarpState::Ready;
+            self.pollable.assign(warp.0, true);
         }
     }
 
@@ -429,8 +511,8 @@ impl Sm {
     /// wait on events owned by the MMU and the reply path.
     pub fn next_event_cycle(&self, now: u64) -> Option<u64> {
         let mut next = None;
-        for w in &self.warps {
-            match w.state {
+        for i in self.pollable.ones() {
+            match self.warps[i].state {
                 WarpState::Ready => return Some(now),
                 WarpState::Compute(until) => {
                     if until <= now {
@@ -527,6 +609,10 @@ impl SaveState for Sm {
 
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
         restore_items(r, "SM warp contexts", &mut self.warps)?;
+        for (i, w) in self.warps.iter().enumerate() {
+            let parked = matches!(w.state, WarpState::WaitTranslation | WarpState::WaitMem);
+            self.pollable.assign(i, !parked);
+        }
         self.l1.restore(r)?;
         self.l1_mshr.restore(r)?;
         self.outstanding = usize::get(r)?;
@@ -728,6 +814,224 @@ mod tests {
         assert!(mem_ops > 0);
         // Compute blocks completed too.
         assert!(sm.stats.completed_ops > mem_ops);
+    }
+
+    impl Sm {
+        /// The one-warp-at-a-time scan that `poll` replaced, kept as the
+        /// reference its ready-mask jumps must reproduce.
+        fn poll_linear(&mut self, now: u64) -> Option<(WarpId, Access)> {
+            let n = self.warps.len();
+            while self.scanned < n {
+                let idx = (self.next_warp + self.scanned) % n;
+                self.scanned += 1;
+                let w = &mut self.warps[idx];
+                if let WarpState::Compute(until) = w.state {
+                    if until <= now {
+                        w.state = WarpState::Ready;
+                        self.stats.completed_ops += 1;
+                    } else {
+                        continue;
+                    }
+                }
+                if w.state != WarpState::Ready {
+                    continue;
+                }
+                let access = match w.pending {
+                    Some(a) => a,
+                    None => match w.stream.next_op() {
+                        WarpOp::Compute(c) => {
+                            w.state = WarpState::Compute(now + c as u64);
+                            continue;
+                        }
+                        WarpOp::Mem(a) => {
+                            w.pending = Some(a);
+                            a
+                        }
+                    },
+                };
+                self.next_warp = idx;
+                return Some((WarpId(idx), access));
+            }
+            None
+        }
+
+        /// The all-warps walk `next_event_cycle` replaced.
+        fn next_event_linear(&self, now: u64) -> Option<u64> {
+            let mut next = None;
+            for w in &self.warps {
+                match w.state {
+                    WarpState::Ready => return Some(now),
+                    WarpState::Compute(until) if until <= now => return Some(now),
+                    WarpState::Compute(until) => next = nuba_engine::earliest(next, Some(until)),
+                    WarpState::WaitTranslation | WarpState::WaitMem => {}
+                }
+            }
+            next
+        }
+
+        fn scan_state(&self) -> (usize, usize, u64, Vec<WarpState>) {
+            let states = self.warps.iter().map(|w| w.state).collect();
+            (
+                self.scanned,
+                self.next_warp,
+                self.stats.completed_ops,
+                states,
+            )
+        }
+    }
+
+    /// Mixed streams: Conv3d warps alternate compute blocks and loads,
+    /// LBM warps stream loads and stores.
+    fn mixed_sm(n: usize) -> Sm {
+        let conv = Workload::build(BenchmarkId::Conv3d, ScaleProfile::fast(), 64, 5);
+        let lbm = Workload::build(BenchmarkId::Lbm, ScaleProfile::fast(), 64, 5);
+        let streams = (0..n)
+            .map(|w| {
+                let wl = if w % 2 == 0 { &conv } else { &lbm };
+                wl.stream(SmId(0), WarpId(w))
+            })
+            .collect();
+        Sm::new(
+            SmId(0),
+            SmParams {
+                warps: n,
+                max_outstanding: 24,
+                l1_mshrs: 16,
+                ..SmParams::paper()
+            },
+            streams,
+        )
+    }
+
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+    }
+
+    /// Drive the mask scan and the linear reference with one random
+    /// sequence of stalls, commits, translation blocks and wake-ups,
+    /// replies and compute deadlines; every poll, scan cursor and
+    /// completion count must agree.
+    fn mask_scan_matches_linear(n: usize, seed: u64) {
+        let (mut fast, mut slow) = (mixed_sm(n), mixed_sm(n));
+        let mut rng = XorShift(seed | 1);
+        let mut blocked: Vec<u64> = Vec::new();
+        let mut in_flight: Vec<(LineAddr, AccessKind, usize)> = Vec::new();
+        let (mut polls, mut polls_past_parked, mut exhausted) = (0, 0, 0);
+        for c in 0..1200u64 {
+            fast.begin_cycle();
+            slow.begin_cycle();
+            for _ in 0..1 + rng.below(6) {
+                let parked = fast.warps.len() - fast.pollable.ones().count();
+                let got = fast.poll(c);
+                assert_eq!(got, slow.poll_linear(c), "poll at cycle {c} ({n} warps)");
+                assert_eq!(fast.scan_state(), slow.scan_state(), "cycle {c}");
+                let Some((w, a)) = got else {
+                    exhausted += 1;
+                    break;
+                };
+                polls += 1;
+                polls_past_parked += usize::from(parked > 0);
+                let line = LineAddr::containing(a.vaddr.0);
+                let reason = match rng.below(3) {
+                    0 => StallReason::Downstream,
+                    1 => StallReason::Mshr,
+                    _ => StallReason::Outstanding,
+                };
+                let roll = rng.below(12);
+                for sm in [&mut fast, &mut slow] {
+                    match roll {
+                        0..=1 => sm.stall(w, reason),
+                        2..=3 => sm.block_translation(w, a.vaddr.0 / 4096),
+                        _ if a.kind.is_write() => {
+                            if sm.can_issue_request() {
+                                sm.commit_write(w, a.kind);
+                            } else {
+                                sm.stall(w, StallReason::Outstanding);
+                            }
+                        }
+                        4 if sm.l1_load_probe(w, line, c) => {}
+                        _ if sm.mshr_mergeable(line) => {
+                            sm.commit_load_miss(w, line);
+                        }
+                        _ if !sm.mshr_outstanding(line)
+                            && sm.can_issue_request()
+                            && sm.mshr_available() =>
+                        {
+                            sm.commit_load_miss(w, line);
+                        }
+                        _ => sm.stall(w, StallReason::Mshr),
+                    }
+                }
+                if (2..=3).contains(&roll) {
+                    blocked.push(a.vaddr.0 / 4096);
+                } else if fast.outstanding() > in_flight.len() {
+                    in_flight.push((line, a.kind, w.0));
+                }
+                assert_eq!(fast.scan_state(), slow.scan_state(), "cycle {c}");
+            }
+            // Wake-ups arrive between cycles in random order, except in
+            // droughts long enough to park every warp.
+            let drought = (c / (2 * n as u64 + 100)) % 2 == 1;
+            for _ in 0..if drought { 0 } else { rng.below(3) } {
+                if !blocked.is_empty() {
+                    let vpage = blocked.swap_remove(rng.below(blocked.len() as u64) as usize);
+                    fast.complete_translation(vpage);
+                    slow.complete_translation(vpage);
+                }
+                if !in_flight.is_empty() {
+                    let k = rng.below(in_flight.len() as u64) as usize;
+                    let (line, kind, warp) = in_flight.swap_remove(k);
+                    let r = reply(c, line.0, kind, warp);
+                    fast.handle_reply(r, c, true);
+                    slow.handle_reply(r, c, true);
+                }
+            }
+            assert_eq!(
+                fast.scan_state(),
+                slow.scan_state(),
+                "after replies, cycle {c}"
+            );
+            assert_eq!(fast.next_event_cycle(c + 1), slow.next_event_linear(c + 1));
+        }
+        // The sequence must exercise what the mask changes: polls with
+        // parked warps to jump over, and scans that run out of warps.
+        assert!(polls > 20, "{n} warps: only {polls} polls");
+        assert!(
+            n == 1 || polls_past_parked * 4 > polls,
+            "{n} warps: {polls_past_parked}/{polls}"
+        );
+        assert!(exhausted > 10, "{n} warps: {exhausted} exhausted scans");
+    }
+
+    #[test]
+    fn mask_scan_matches_linear_scan() {
+        for n in [1, 63, 64, 65, 128] {
+            for seed in [1, 0x5eed, 0xdead_beef] {
+                mask_scan_matches_linear(n, seed);
+            }
+        }
+    }
+
+    #[test]
+    fn warp_mask_search_and_iteration() {
+        let mut m = WarpMask::all(130);
+        assert_eq!(m.ones().count(), 130);
+        for i in 0..130 {
+            m.assign(i, i % 61 == 0);
+        }
+        assert_eq!(m.ones().collect::<Vec<_>>(), vec![0, 61, 122]);
+        assert_eq!(m.first_in(1, 130), Some(61));
+        assert_eq!(m.first_in(62, 122), None);
+        assert_eq!(m.first_in(62, 123), Some(122));
+        assert_eq!(m.first_in(5, 5), None);
+        assert_eq!(WarpMask::all(64).words, vec![!0u64]);
     }
 
     #[test]

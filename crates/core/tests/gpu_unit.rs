@@ -124,3 +124,55 @@ fn noc_bandwidth_knob_reaches_the_noc() {
         r_n.perf()
     );
 }
+
+/// The issue path caches each warp's last page translation. Under the
+/// §7.6 policies pages move and gain replicas mid-run; every cached
+/// translation still current by the page table's generation must equal
+/// a fresh lookup after every cycle.
+#[test]
+fn translation_memo_stays_coherent_under_migration_and_replication() {
+    use nuba_types::PagePolicyKind;
+
+    for policy in [PagePolicyKind::Migration, PagePolicyKind::PageReplication] {
+        let mut cfg = tiny(ArchKind::Nuba);
+        cfg.page_policy = policy;
+        cfg.replication = ReplicationKind::None;
+        let wl = Workload::build(
+            BenchmarkId::SqueezeNet,
+            ScaleProfile::fast(),
+            cfg.num_sms,
+            7,
+        );
+        let warm = nuba_core::default_warm_accesses(&cfg, &wl);
+        let mut gpu = GpuSimulator::try_new(cfg, &wl).expect("valid config");
+        gpu.warm(&wl, warm);
+        let (mut bumps, mut checked, mut live_after_bump) = (0, 0, 0);
+        let mut generation = gpu.driver().table().generation();
+        for _ in 0..20_000 {
+            gpu.step();
+            let live = gpu.check_translation_memo();
+            checked += live;
+            let now = gpu.driver().table().generation();
+            if now != generation {
+                bumps += 1;
+                generation = now;
+            } else if bumps > 0 {
+                live_after_bump = live_after_bump.max(live);
+            }
+        }
+        let stats = gpu.driver().stats();
+        assert!(
+            stats.migrations + stats.replications > 0,
+            "{policy:?}: no page moved or was replicated"
+        );
+        assert!(
+            bumps > 1,
+            "{policy:?}: {bumps} maintenance passes moved pages"
+        );
+        assert!(checked > 10_000, "{policy:?}: only {checked} memo checks");
+        assert!(
+            live_after_bump > 0,
+            "{policy:?}: memo never refilled after a generation change"
+        );
+    }
+}

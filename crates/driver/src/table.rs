@@ -1,10 +1,8 @@
 //! The GPU page table: virtual page → (channel, frame) mappings plus
 //! the per-page sharing metadata the driver and the experiments use.
 
-use std::collections::HashMap;
-
 use nuba_types::addr::PageNum;
-use nuba_types::{ChannelId, PartitionId, SmId};
+use nuba_types::{ChannelId, FixedHashMap, PartitionId, SmId};
 
 /// A virtual-to-physical mapping: the memory channel that homes the page
 /// and the page-frame index within that channel.
@@ -47,17 +45,31 @@ impl PageEntry {
 /// The driver's page table plus per-channel frame allocators.
 #[derive(Debug, Default)]
 pub struct PageTable {
-    entries: HashMap<PageNum, PageEntry>,
+    entries: FixedHashMap<PageNum, PageEntry>,
     next_frame: Vec<u64>,
+    /// Bumped by every method that can change the translation of a page
+    /// that is already mapped (see [`PageTable::generation`]). Not saved
+    /// state: restoring bumps it too.
+    generation: u64,
 }
 
 impl PageTable {
     /// An empty table over `num_channels` channels.
     pub fn new(num_channels: usize) -> PageTable {
         PageTable {
-            entries: HashMap::new(),
+            entries: FixedHashMap::default(),
             next_frame: vec![0; num_channels],
+            generation: 0,
         }
+    }
+
+    /// A counter that changes whenever an already-mapped page's
+    /// [`translate`](PageTable::translate) result may have changed
+    /// (migration, replication, restore). Mapping a new page leaves it
+    /// alone: pages are never unmapped, so a translation cached while
+    /// the generation stays the same is still exact.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Whether `vpage` is mapped.
@@ -145,6 +157,7 @@ impl PageTable {
     /// # Panics
     /// Panics if the page is unmapped.
     pub fn migrate(&mut self, vpage: PageNum, channel: ChannelId) -> Translation {
+        self.generation += 1;
         let frame = self.claim_frame(channel);
         let e = self
             .entries
@@ -158,6 +171,7 @@ impl PageTable {
     /// Add a replica of `vpage` for `partition` in `channel`
     /// (page replication, §7.6). No-op if one already exists.
     pub fn add_replica(&mut self, vpage: PageNum, partition: PartitionId, channel: ChannelId) {
+        self.generation += 1;
         let frame = self.claim_frame(channel);
         let Some(e) = self.entries.get_mut(&vpage) else {
             return;
@@ -245,6 +259,7 @@ impl SaveState for PageTable {
     }
 
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+        self.generation += 1;
         restore_map(r, &mut self.entries)?;
         let next_frame = Vec::<u64>::get(r)?;
         if next_frame.len() != self.next_frame.len() {
@@ -344,6 +359,30 @@ mod tests {
         // Idempotent.
         t.add_replica(PageNum(0), PartitionId(2), ChannelId(2));
         assert_eq!(t.entry(PageNum(0)).unwrap().replicas.len(), 1);
+    }
+
+    #[test]
+    fn generation_tracks_translation_changes() {
+        let mut t = PageTable::new(4);
+        t.map(PageNum(0), ChannelId(0), SmId(0));
+        let g0 = t.generation();
+        t.map(PageNum(1), ChannelId(1), SmId(0));
+        t.record_access(PageNum(0), SmId(1), PartitionId(1), 4);
+        assert_eq!(t.generation(), g0, "mapping and recording keep it");
+
+        t.migrate(PageNum(0), ChannelId(2));
+        let g1 = t.generation();
+        assert_ne!(g1, g0, "migrate bumps it");
+
+        t.add_replica(PageNum(1), PartitionId(3), ChannelId(3));
+        let g2 = t.generation();
+        assert_ne!(g2, g1, "add_replica bumps it");
+
+        let mut w = StateWriter::new();
+        t.save(&mut w);
+        let bytes = w.into_bytes();
+        t.restore(&mut StateReader::new(&bytes)).unwrap();
+        assert_ne!(t.generation(), g2, "restore bumps it");
     }
 
     #[test]

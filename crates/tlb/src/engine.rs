@@ -1,10 +1,10 @@
 //! The two-level translation engine: L1 TLBs, shared L2 TLB, walker pool
 //! and page-fault path.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use nuba_types::addr::PageNum;
-use nuba_types::SmId;
+use nuba_types::{FixedHashMap, SmId};
 
 use crate::tlb::Tlb;
 
@@ -112,7 +112,7 @@ pub struct TranslationEngine {
     params: TlbParams,
     l1: Vec<Tlb>,
     l2: Tlb,
-    outstanding: HashMap<PageNum, Outstanding>,
+    outstanding: FixedHashMap<PageNum, Outstanding>,
     /// FIFO of pages waiting for an L2 port.
     l2_queue: VecDeque<PageNum>,
     /// FIFO of pages waiting for a walker.
@@ -126,9 +126,9 @@ pub struct TranslationEngine {
     stats: TlbStats,
     /// Reusable scratch for the pages whose L2 access / walk finishes
     /// this cycle: avoids a per-cycle allocation and — because it is
-    /// sorted — makes completion order independent of `HashMap`
-    /// iteration order (which varies per process and would leak into
-    /// fault handling and LRU state).
+    /// sorted — makes completion order independent of map iteration
+    /// order (which depends on the hasher and the insertion history and
+    /// would leak into fault handling and LRU state).
     ready: Vec<PageNum>,
     /// Free list recycling the per-page waiter vectors.
     waiter_pool: Vec<Vec<SmId>>,
@@ -147,7 +147,7 @@ impl TranslationEngine {
                 .map(|_| Tlb::new(params.l1_entries, params.l1_ways.min(params.l1_entries)))
                 .collect(),
             l2: Tlb::new(params.l2_entries, params.l2_ways),
-            outstanding: HashMap::new(),
+            outstanding: FixedHashMap::default(),
             l2_queue: VecDeque::new(),
             walk_queue: VecDeque::new(),
             active_walks: 0,
@@ -204,8 +204,8 @@ impl TranslationEngine {
         }
 
         // Finish L2 accesses and walks. The ready set is collected into
-        // a reusable scratch vector and sorted: `HashMap` iteration
-        // order differs between engine instances, and completion order
+        // a reusable scratch vector and sorted: map iteration order
+        // depends on the hasher and insertion history, and completion order
         // feeds fault handling (page placement) and L2 LRU state, so it
         // must be deterministic.
         let mut ready = std::mem::take(&mut self.ready);

@@ -55,7 +55,11 @@ impl Site {
     /// macros can chain onto the panic path. Registers the site into
     /// the global registry on first use.
     pub fn record(&'static self, ok: bool) -> bool {
-        if !self.registered.swap(true, Ordering::Relaxed) {
+        // A plain load first: once registered, the flag never changes,
+        // so the hot path skips the read-modify-write entirely.
+        if !self.registered.load(Ordering::Relaxed)
+            && !self.registered.swap(true, Ordering::Relaxed)
+        {
             registry()
                 .lock()
                 .expect("invariant registry poisoned")

@@ -27,7 +27,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 
 /// Version of the checkpoint wire format. Bump on any layout change so
 /// stale checkpoints are rejected instead of misread.
@@ -622,7 +622,7 @@ pub fn restore_items<T: SaveState>(
 
 /// Serialize a hash map **sorted by key** so identical machines produce
 /// byte-identical checkpoints regardless of hash-map iteration order.
-pub fn save_map<K, V>(w: &mut StateWriter, map: &HashMap<K, V>)
+pub fn save_map<K, V, S>(w: &mut StateWriter, map: &HashMap<K, V, S>)
 where
     K: StateValue + Ord,
     V: StateValue,
@@ -641,10 +641,14 @@ where
 ///
 /// # Errors
 /// Any decode error from keys or values.
-pub fn restore_map<K, V>(r: &mut StateReader<'_>, map: &mut HashMap<K, V>) -> Result<(), StateError>
+pub fn restore_map<K, V, S>(
+    r: &mut StateReader<'_>,
+    map: &mut HashMap<K, V, S>,
+) -> Result<(), StateError>
 where
     K: StateValue + Eq + Hash,
     V: StateValue,
+    S: BuildHasher,
 {
     let n = usize::get(r)?;
     map.clear();

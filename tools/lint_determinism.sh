@@ -9,9 +9,11 @@
 # (BTreeMap, sorted scratch vectors, or explicit ordering).
 #
 # Mechanics: for each file in the simulator crates that declares a
-# HashMap/HashSet, collect the declared variable/field names, then flag
-# lines that iterate those names (`.iter()`, `.keys()`, `.values()`,
-# `.drain()`, `.retain()`, `.into_iter()`, `for … in &name`). Known-safe
+# HashMap/HashSet — including `FixedHashMap`, the fixed-hasher alias from
+# nuba-types, whose order is just as arbitrary — collect the declared
+# variable/field names, then flag lines that iterate those names
+# (`.iter()`, `.keys()`, `.values()`, `.drain()`, `.retain()`,
+# `.into_iter()`, `for … in &name`). Known-safe
 # sites (order-independent folds, lines that sort immediately after)
 # live in tools/determinism_allowlist.txt as `path:trimmed-line` pairs;
 # anything not allowlisted fails the lint. Run from anywhere; CI runs it
@@ -24,6 +26,9 @@ CRATES="types engine core noc dram tlb driver cache workloads bench"
 ALLOWLIST=tools/determinism_allowlist.txt
 
 ITER_METHODS='(iter|iter_mut|keys|values|values_mut|drain|into_iter|into_keys|into_values|retain|extend)'
+# A map type as written in a declaration: `HashMap`, `HashSet` or
+# `FixedHashMap`, optionally path-qualified.
+MAP_TYPE='((std::collections|nuba_types)::)?(Fixed)?Hash(Map|Set)'
 
 hits_file=$(mktemp)
 trap 'rm -f "$hits_file"' EXIT
@@ -36,9 +41,9 @@ for crate in $CRATES; do
         # typed lets (`name: HashMap<…>`), plus inferred lets
         # (`let [mut] name = HashMap::…`).
         names=$( {
-            grep -oE '[a-z_][a-z0-9_]*[[:space:]]*:[[:space:]]*(std::collections::)?Hash(Map|Set)<' "$f" \
+            grep -oE "[a-z_][a-z0-9_]*[[:space:]]*:[[:space:]]*${MAP_TYPE}<" "$f" \
                 | sed -E 's/[[:space:]]*:.*//' || true
-            grep -oE 'let (mut )?[a-z_][a-z0-9_]*([[:space:]]*:[^=]*)?=[[:space:]]*(std::collections::)?Hash(Map|Set)::' "$f" \
+            grep -oE "let (mut )?[a-z_][a-z0-9_]*([[:space:]]*:[^=]*)?=[[:space:]]*${MAP_TYPE}::" "$f" \
                 | sed -E 's/^let (mut )?//; s/[[:space:]]*(:[^=]*)?=.*//' || true
         } | sort -u )
         [ -n "$names" ] || continue
@@ -49,7 +54,7 @@ for crate in $CRATES; do
                     printf '%s:%s\n' "$f" "$content" >> "$hits_file"
                 done
         done
-    done < <(grep -rlE 'Hash(Map|Set)<' "$dir" --include='*.rs' || true)
+    done < <(grep -rlE 'Hash(Map|Set)(<|::)' "$dir" --include='*.rs' || true)
 done
 
 sort -u "$hits_file" -o "$hits_file"
